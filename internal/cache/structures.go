@@ -141,10 +141,15 @@ func (w *WriteBuffer) Occupied(t sim.Ticks) int {
 // busy must wait for the earliest completion.
 type MSHRs struct {
 	n       int
-	pending map[uint64]sim.Ticks // line addr -> completion time
+	pending []mshr // outstanding misses, one per line, in no particular order
 	merges  uint64
 	stalls  uint64
 	stallT  sim.Ticks
+}
+
+type mshr struct {
+	addr uint64    // line address
+	done sim.Ticks // completion time
 }
 
 // NewMSHRs creates an MSHR file with n registers.
@@ -152,36 +157,55 @@ func NewMSHRs(n int) *MSHRs {
 	if n <= 0 {
 		n = 1
 	}
-	return &MSHRs{n: n, pending: make(map[uint64]sim.Ticks, n)}
+	return &MSHRs{n: n, pending: make([]mshr, 0, n)}
+}
+
+// find returns the index of lineAddr's register, or -1.
+func (m *MSHRs) find(lineAddr uint64) int {
+	for i := range m.pending {
+		if m.pending[i].addr == lineAddr {
+			return i
+		}
+	}
+	return -1
+}
+
+// remove frees register i (order is not kept).
+func (m *MSHRs) remove(i int) {
+	last := len(m.pending) - 1
+	m.pending[i] = m.pending[last]
+	m.pending = m.pending[:last]
 }
 
 // Lookup reports whether a miss on lineAddr is already outstanding at
 // time t and, if so, when it completes (the new request merges).
 func (m *MSHRs) Lookup(lineAddr uint64, t sim.Ticks) (sim.Ticks, bool) {
 	m.expire(t)
-	done, ok := m.pending[lineAddr]
-	if ok {
-		m.merges++
+	i := m.find(lineAddr)
+	if i < 0 {
+		return 0, false
 	}
-	return done, ok
+	m.merges++
+	return m.pending[i].done, true
 }
 
 // Reserve allocates a register for a miss on lineAddr issued at time t.
 // It returns the time the miss may actually be issued to the memory
 // system: t if a register is free, else the earliest completion time
-// among outstanding misses.
+// among outstanding misses (ties go to the lowest line address, so the
+// victim does not depend on register order).
 func (m *MSHRs) Reserve(lineAddr uint64, t sim.Ticks) sim.Ticks {
 	m.expire(t)
 	issue := t
 	if len(m.pending) >= m.n {
-		earliest := sim.Forever
-		var victim uint64
-		for a, d := range m.pending {
-			if d < earliest || (d == earliest && a < victim) {
-				earliest, victim = d, a
+		v := 0
+		for i, r := range m.pending {
+			if w := m.pending[v]; r.done < w.done || (r.done == w.done && r.addr < w.addr) {
+				v = i
 			}
 		}
-		delete(m.pending, victim)
+		earliest := m.pending[v].done
+		m.remove(v)
 		if earliest > issue {
 			m.stalls++
 			m.stallT += earliest - issue
@@ -191,14 +215,24 @@ func (m *MSHRs) Reserve(lineAddr uint64, t sim.Ticks) sim.Ticks {
 	return issue
 }
 
-// Complete records that the miss on lineAddr completes at done.
-func (m *MSHRs) Complete(lineAddr uint64, done sim.Ticks) { m.pending[lineAddr] = done }
+// Complete records that the miss on lineAddr completes at done. Callers
+// Reserve first, so the registers never overflow n; a Complete without
+// one still records the miss, beyond the register count.
+func (m *MSHRs) Complete(lineAddr uint64, done sim.Ticks) {
+	if i := m.find(lineAddr); i >= 0 {
+		m.pending[i].done = done
+		return
+	}
+	m.pending = append(m.pending, mshr{lineAddr, done})
+}
 
 // expire retires registers whose misses completed by t.
 func (m *MSHRs) expire(t sim.Ticks) {
-	for a, d := range m.pending {
-		if d <= t {
-			delete(m.pending, a)
+	for i := 0; i < len(m.pending); {
+		if m.pending[i].done <= t {
+			m.remove(i)
+		} else {
+			i++
 		}
 	}
 }

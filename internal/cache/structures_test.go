@@ -101,6 +101,64 @@ func TestMSHRExpiry(t *testing.T) {
 	}
 }
 
+// TestMSHRVictimTieBreak: with every register busy, the victim is the
+// earliest completion, and among equal completions the lowest line
+// address, whatever order the misses were recorded in.
+func TestMSHRVictimTieBreak(t *testing.T) {
+	orders := [][]uint64{
+		{0x300, 0x100, 0x200, 0x400},
+		{0x100, 0x200, 0x300, 0x400},
+		{0x400, 0x300, 0x200, 0x100},
+	}
+	done := map[uint64]sim.Ticks{0x100: 700, 0x200: 500, 0x300: 500, 0x400: 900}
+	for _, order := range orders {
+		m := NewMSHRs(4)
+		for _, a := range order {
+			m.Reserve(a, 0)
+			m.Complete(a, done[a])
+		}
+		// 0x200 and 0x300 tie at 500: 0x200 is freed first.
+		if issue := m.Reserve(0x500, 10); issue != 500 {
+			t.Fatalf("order %x: issue = %d, want 500", order, issue)
+		}
+		m.Complete(0x500, 1000)
+		if _, ok := m.Lookup(0x200, 10); ok {
+			t.Fatalf("order %x: 0x200 still outstanding, want it evicted", order)
+		}
+		if d, ok := m.Lookup(0x300, 10); !ok || d != 500 {
+			t.Fatalf("order %x: 0x300 = (%d, %v), want outstanding until 500", order, d, ok)
+		}
+		// Next victim: 0x300, the remaining earliest.
+		if issue := m.Reserve(0x600, 10); issue != 500 {
+			t.Fatalf("order %x: second issue = %d, want 500", order, issue)
+		}
+		m.Complete(0x600, 1100)
+		if _, ok := m.Lookup(0x300, 10); ok {
+			t.Fatalf("order %x: 0x300 still outstanding", order)
+		}
+		if n := m.Outstanding(10); n != 4 {
+			t.Fatalf("order %x: %d outstanding, want 4", order, n)
+		}
+		if n := m.Outstanding(900); n != 2 {
+			t.Fatalf("order %x: %d outstanding at 900, want 2 (0x500, 0x600)", order, n)
+		}
+	}
+}
+
+// TestMSHRCompleteUpdatesInPlace: completing an outstanding line again
+// moves its completion instead of taking a second register.
+func TestMSHRCompleteUpdatesInPlace(t *testing.T) {
+	m := NewMSHRs(2)
+	m.Complete(0x100, 300)
+	m.Complete(0x100, 400)
+	if n := m.Outstanding(0); n != 1 {
+		t.Fatalf("%d outstanding, want 1", n)
+	}
+	if d, _ := m.Lookup(0x100, 350); d != 400 {
+		t.Fatalf("completion %d, want 400", d)
+	}
+}
+
 func TestL2InterfaceDisabled(t *testing.T) {
 	l := &L2Interface{Enabled: false, TransferTicks: 100}
 	if l.AcquireForRefill(50) != 50 || l.AcquireForTagCheck(50) != 50 {

@@ -46,7 +46,7 @@ func DefaultConfig(nodes int) Config {
 type Network struct {
 	cfg     Config
 	dims    int
-	links   map[[2]int]*sim.Server
+	links   []sim.Server // node*dims + d: the link from node across dimension d
 	routers []sim.Server
 	stats   NetStats
 }
@@ -72,7 +72,7 @@ func New(cfg Config) *Network {
 	n := &Network{
 		cfg:     cfg,
 		dims:    dims,
-		links:   make(map[[2]int]*sim.Server),
+		links:   make([]sim.Server, (1<<dims)*dims),
 		routers: make([]sim.Server, 1<<dims),
 	}
 	return n
@@ -100,7 +100,8 @@ func (n *Network) Lookahead() sim.Ticks {
 }
 
 // Route returns the e-cube route from src to dst (excluding src,
-// including dst).
+// including dst): the differing address bits are corrected from the
+// lowest dimension up. Send walks the same order without building it.
 func (n *Network) Route(src, dst int) []int {
 	if src == dst {
 		return nil
@@ -127,16 +128,6 @@ func (n *Network) Hops(src, dst int) int {
 	return h
 }
 
-func (n *Network) link(a, b int) *sim.Server {
-	key := [2]int{a, b}
-	l, ok := n.links[key]
-	if !ok {
-		l = &sim.Server{Name: fmt.Sprintf("link %d->%d", a, b)}
-		n.links[key] = l
-	}
-	return l
-}
-
 // Send models transmitting size bytes from src to dst starting at time
 // t. It returns the time the last byte arrives at dst. With contention
 // modeling on, the message serializes over every directed link of its
@@ -150,16 +141,21 @@ func (n *Network) Send(t sim.Ticks, src, dst int, size int) sim.Ticks {
 	ser := sim.Ticks(uint64(size)*uint64(n.cfg.TicksPerKByte)/1024 + 1)
 	now := t
 	cur := src
-	for _, next := range n.Route(src, dst) {
+	diff := src ^ dst
+	for d := 0; d < n.dims; d++ {
+		bit := 1 << d
+		if diff&bit == 0 {
+			continue
+		}
 		n.stats.Hops++
 		if n.cfg.ModelContention {
-			_, done := n.link(cur, next).Acquire(now, ser)
+			_, done := n.links[cur*n.dims+d].Acquire(now, ser)
 			now = done + n.cfg.HopTicks
-			_, now = n.routers[next].Acquire(now, n.cfg.RouterTicks)
+			_, now = n.routers[cur^bit].Acquire(now, n.cfg.RouterTicks)
 		} else {
 			now += ser + n.cfg.HopTicks + n.cfg.RouterTicks
 		}
-		cur = next
+		cur ^= bit
 	}
 	return now
 }
@@ -174,8 +170,8 @@ func (n *Network) LatencyOnly(src, dst int, size int) sim.Ticks {
 
 // Reset clears all reservation state and statistics.
 func (n *Network) Reset() {
-	for _, l := range n.links {
-		l.Reset()
+	for i := range n.links {
+		n.links[i].Reset()
 	}
 	for i := range n.routers {
 		n.routers[i].Reset()
@@ -183,11 +179,15 @@ func (n *Network) Reset() {
 	n.stats = NetStats{}
 }
 
-// LinkStats returns per-link utilization, keyed "a->b".
+// LinkStats returns per-link utilization, keyed "a->b", for the links
+// that carried traffic.
 func (n *Network) LinkStats() map[string]sim.Stats {
-	out := make(map[string]sim.Stats, len(n.links))
-	for k, l := range n.links {
-		out[fmt.Sprintf("%d->%d", k[0], k[1])] = l.Stats()
+	out := make(map[string]sim.Stats)
+	for i := range n.links {
+		if st := n.links[i].Stats(); st.Uses > 0 {
+			a := i / n.dims
+			out[fmt.Sprintf("%d->%d", a, a^(1<<(i%n.dims)))] = st
+		}
 	}
 	return out
 }

@@ -21,16 +21,25 @@ package sim
 // reservation would block every earlier request behind it, amplifying
 // queueing without bound. Gap backfill keeps service work-conserving
 // under the bounded causality skew of the run loop.
+//
+// The reserved intervals are kept sorted by start. Positive-length
+// reservations never overlap, so their ends are sorted too, and a
+// request binary-searches for the first interval ending after it
+// arrives instead of scanning the expired ones. Nothing is pruned as
+// time advances: once more than maxIntervals are held, the two oldest
+// are merged into one. The list slides forward through a fixed backing
+// buffer and is copied back to the buffer's start only when it reaches
+// the end, so a warmed server reserves without allocating.
 type Server struct {
 	Name string
 
-	// busy holds reserved [start, end) intervals, sorted by start.
-	// Old intervals are pruned as the reservation frontier advances.
-	busy   []interval
-	busyT  Ticks  // total occupied time
-	uses   uint64 // number of reservations
-	waited Ticks  // total queueing delay imposed
-	maxQ   Ticks  // maximum single queueing delay
+	busy   []interval // reserved [start, end) intervals, sorted by start; a window of buf
+	buf    []interval // backing store, allocated on the first reservation
+	zero   bool       // a zero-length interval was reserved: ends may be unsorted
+	busyT  Ticks      // total occupied time
+	uses   uint64     // number of reservations
+	waited Ticks      // total queueing delay imposed
+	maxQ   Ticks      // maximum single queueing delay
 }
 
 type interval struct{ start, end Ticks }
@@ -39,11 +48,32 @@ type interval struct{ start, end Ticks }
 // oldest intervals are merged away (they are in the causal past).
 const maxIntervals = 48
 
+// bufIntervals is the backing buffer length: the busy window slides
+// 3*maxIntervals reservations before it is copied back to the start.
+const bufIntervals = 4 * maxIntervals
+
 // schedule finds the earliest service start >= t for dur given the busy
-// list (without mutating).
+// list (without mutating). Intervals ending at or before t cannot delay
+// the request, so the scan starts at the first one that ends after t.
+// A zero-length interval can sit after a longer one with the same start,
+// breaking the order of ends; a server that ever held one scans from
+// the beginning.
 func (s *Server) schedule(t, dur Ticks) Ticks {
+	busy := s.busy
+	if !s.zero {
+		lo, hi := 0, len(busy)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if busy[m].end <= t {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		busy = busy[lo:]
+	}
 	start := t
-	for _, iv := range s.busy {
+	for _, iv := range busy {
 		if start+dur <= iv.start {
 			break
 		}
@@ -64,6 +94,9 @@ func (s *Server) Acquire(t, dur Ticks) (start, done Ticks) {
 		s.maxQ = wait
 	}
 	done = start + dur
+	if dur == 0 {
+		s.zero = true
+	}
 	s.insert(interval{start, done})
 	s.busyT += dur
 	s.uses++
@@ -72,11 +105,19 @@ func (s *Server) Acquire(t, dur Ticks) (start, done Ticks) {
 
 // insert adds iv keeping the list sorted and bounded.
 func (s *Server) insert(iv interval) {
+	if len(s.busy) == cap(s.busy) {
+		// The window reached the end of the buffer (or there is none
+		// yet): move it back to the start.
+		if s.buf == nil {
+			s.buf = make([]interval, bufIntervals)
+		}
+		s.busy = s.buf[:copy(s.buf, s.busy)]
+	}
 	i := len(s.busy)
 	for i > 0 && s.busy[i-1].start > iv.start {
 		i--
 	}
-	s.busy = append(s.busy, interval{})
+	s.busy = s.busy[:len(s.busy)+1]
 	copy(s.busy[i+1:], s.busy[i:])
 	s.busy[i] = iv
 	if len(s.busy) > maxIntervals {
@@ -94,8 +135,9 @@ func (s *Server) insert(iv interval) {
 // service, without reserving (assuming a zero-length probe).
 func (s *Server) Peek(t Ticks) Ticks { return s.schedule(t, 1) }
 
-// Reset clears reservation state and statistics.
-func (s *Server) Reset() { *s = Server{Name: s.Name} }
+// Reset clears reservation state and statistics, keeping the backing
+// buffer.
+func (s *Server) Reset() { *s = Server{Name: s.Name, buf: s.buf} }
 
 // Stats describes accumulated utilization of a resource.
 type Stats struct {
